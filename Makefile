@@ -4,7 +4,7 @@ GO ?= go
 # detector must cover.
 RACE_PKGS = . ./internal/wang ./internal/traffic ./internal/safety ./internal/sim ./internal/wormhole ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
 
-.PHONY: all build test vet fmt race bench bench-smoke bench-diff smoke chaos rel-smoke verify clean
+.PHONY: all build test vet fmt race bench bench-smoke bench-diff bench-check smoke chaos rel-smoke verify clean
 
 all: build
 
@@ -54,6 +54,13 @@ bench-smoke:
 bench-diff:
 	$(GO) run ./cmd/meshbench -out /tmp/bench-diff-candidate.json \
 		-baseline BENCH_routing.json -tolerance 15
+
+# bench-check vets and tests the repository benchmark's checker
+# (perfbench/, its own Go module, which `go test ./...` at the root
+# does not reach): a corrupted path, a flipped existence bit and an
+# altered verdict must each fail a run.
+bench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # smoke boots meshserved on an ephemeral port and drives a short
 # meshstress run against it (the cmd tests do this in-process too).

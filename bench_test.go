@@ -615,3 +615,50 @@ func BenchmarkOracleRouteCached(b *testing.B) {
 		_, _ = n.OracleRoute(s, dests[i%len(dests)])
 	}
 }
+
+// BenchmarkDynamicFirstRouteAfterWrite prices the serving plane's
+// first read after a write at the kernel layer: on a 200x200 mesh with
+// 200 faults, toggle one fault, then route once under the block model
+// and once under MCC on the new snapshot. Each iteration pays the new
+// version's snapshot plus the models and router views those two routes
+// need.
+func BenchmarkDynamicFirstRouteAfterWrite(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	d, err := NewDynamic(200, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var faults []Coord
+	for len(faults) < 200 {
+		c := Coord{X: rng.Intn(200), Y: rng.Intn(200)}
+		if !d.IsFaulty(c) {
+			if err := d.AddFault(c); err != nil {
+				b.Fatal(err)
+			}
+			faults = append(faults, c)
+		}
+	}
+	toggle := Coord{X: 101, Y: 97}
+	for d.IsFaulty(toggle) {
+		toggle.X++
+	}
+	src, dst := Coord{X: 3, Y: 5}, Coord{X: 190, Y: 184}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			err = d.AddFault(toggle)
+		} else {
+			err = d.RemoveFault(toggle)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := d.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = n.Route(src, dst, Blocks) // a StuckError still pays the build
+		_, _ = n.Route(src, dst, MCC)
+	}
+}

@@ -145,23 +145,33 @@ func DefaultStrategy() Strategy {
 type Network struct {
 	m  mesh.Mesh
 	sc *fault.Scenario
-	bs *fault.BlockSet
+
+	// The block set: built by New, or collected on first use from the
+	// fault-region grid dead of a DynamicNetwork snapshot.
+	bsOnce sync.Once
+	bs     *fault.BlockSet
+	dead   []bool
 
 	mccOnce [2]sync.Once
 	mccSets [2]*fault.MCCSet // indexed by fault.MCCType - 1
 
+	// Per model slot (0: blocks, 1: MCC type-one, 2: MCC type-two) the
+	// fault-region grid, the condition evaluator over it (the grid plus
+	// its safety levels) and the router. Routing needs only the grid.
+	blockedOnce [3]sync.Once
+	blocked     [3][]bool
+
 	modelOnce [3]sync.Once
-	models    [3]*core.Model // 0: blocks, 1: MCC type-one, 2: MCC type-two
+	models    [3]*core.Model
 
 	routerOnce [3]sync.Once
 	routers    [3]*route.Router
 
-	// Optional shared orientation-view store (attachViewCache): set by a
-	// DynamicNetwork so the Networks it materializes for one mutation
-	// version reuse each other's boundary contours instead of each
-	// paying the O(mesh) buildView.
-	viewCache *route.ViewCache
-	viewGen   uint64
+	// Set on the Networks a DynamicNetwork publishes (snapshot.go): the
+	// mutation version the Network describes and the lineage its MCC
+	// models and router views are derived through.
+	version uint64
+	lin     *lineage
 
 	faultGrid []bool
 	faultBits *mesh.Bits
@@ -222,8 +232,9 @@ func (n *Network) IsFaulty(c Coord) bool { return n.sc.IsFaulty(c) }
 
 // Blocks returns the rectangles of the faulty blocks.
 func (n *Network) Blocks() []Rect {
-	out := make([]Rect, len(n.bs.Blocks))
-	copy(out, n.bs.Blocks)
+	bs := n.blockSet()
+	out := make([]Rect, len(bs.Blocks))
+	copy(out, bs.Blocks)
 	return out
 }
 
@@ -234,7 +245,7 @@ func (n *Network) InRegion(c Coord, fm FaultModel) bool {
 	if fm == MCC {
 		return n.mcc(fault.TypeOne).InMCC(c)
 	}
-	return n.bs.InBlock(c)
+	return n.blockSet().InBlock(c)
 }
 
 // InRegionFor reports whether c belongs to a fault region under the
@@ -244,7 +255,7 @@ func (n *Network) InRegionFor(c Coord, fm FaultModel, s, d Coord) bool {
 	if fm == MCC {
 		return n.mcc(fault.ForQuadrant(mesh.Quadrant(s, d))).InMCC(c)
 	}
-	return n.bs.InBlock(c)
+	return n.blockSet().InBlock(c)
 }
 
 // DisabledCount returns the number of healthy nodes swallowed by fault
@@ -253,7 +264,7 @@ func (n *Network) DisabledCount(fm FaultModel) int {
 	if fm == MCC {
 		return n.mcc(fault.TypeOne).DisabledCount()
 	}
-	return n.bs.DisabledCount()
+	return n.blockSet().DisabledCount()
 }
 
 // SafetyLevel returns the extended safety level of c under the model
@@ -424,6 +435,36 @@ func (n *Network) mcc(t fault.MCCType) *fault.MCCSet {
 	return n.mccSets[i]
 }
 
+// blockSet returns the block set, collecting it on first use for a
+// DynamicNetwork snapshot.
+func (n *Network) blockSet() *fault.BlockSet {
+	n.bsOnce.Do(func() {
+		if n.bs == nil {
+			n.bs = fault.BlocksFromGrid(n.m, n.faultGrid, n.dead)
+		}
+	})
+	return n.bs
+}
+
+// blockedGrid lazily builds the fault-region grid of a model slot.
+func (n *Network) blockedGrid(fm FaultModel, t fault.MCCType) ([]bool, error) {
+	idx, err := modelIndex(fm, t)
+	if err != nil {
+		return nil, err
+	}
+	n.blockedOnce[idx].Do(func() {
+		switch {
+		case fm == MCC:
+			n.blocked[idx] = n.mcc(t).BlockedGrid()
+		case n.dead != nil:
+			n.blocked[idx] = n.dead
+		default:
+			n.blocked[idx] = n.bs.BlockedGrid()
+		}
+	})
+	return n.blocked[idx], nil
+}
+
 // modelIndex maps (FaultModel, MCCType) to the cache slot.
 func modelIndex(fm FaultModel, t fault.MCCType) (int, error) {
 	switch fm {
@@ -470,11 +511,10 @@ func (n *Network) modelFor(fm FaultModel, t fault.MCCType) (*core.Model, error) 
 		return nil, err
 	}
 	n.modelOnce[idx].Do(func() {
-		var blocked []bool
-		if fm == Blocks {
-			blocked = n.bs.BlockedGrid()
-		} else {
-			blocked = n.mcc(t).BlockedGrid()
+		blocked, _ := n.blockedGrid(fm, t)
+		if n.lin != nil {
+			n.models[idx] = n.lin.deriveModel(idx, n.version, n.m, blocked)
+			return
 		}
 		md, err := core.NewModel(n.m, blocked)
 		if err == nil {
@@ -506,32 +546,24 @@ func (n *Network) routerPair(fm FaultModel, s, d Coord) (*route.Router, error) {
 	if fm == MCC {
 		t = fault.ForQuadrant(mesh.Quadrant(s, d))
 	}
-	idx, err := modelIndex(fm, t)
+	return n.router(fm, t)
+}
+
+// router lazily builds the Wu-protocol router of a model slot.
+func (n *Network) router(fm FaultModel, t fault.MCCType) (*route.Router, error) {
+	blocked, err := n.blockedGrid(fm, t)
 	if err != nil {
 		return nil, err
 	}
-	md, err := n.modelFor(fm, t)
-	if err != nil {
-		return nil, err
-	}
+	idx, _ := modelIndex(fm, t)
 	n.routerOnce[idx].Do(func() {
-		if n.viewCache != nil {
-			n.routers[idx] = route.NewRouterCached(n.m, md.Blocked, n.viewCache, n.viewGen, idx)
+		if n.lin != nil {
+			n.routers[idx] = route.NewRouterFrom(n.m, blocked, &n.lin.views[idx], n.version)
 		} else {
-			n.routers[idx] = route.NewRouter(n.m, md.Blocked)
+			n.routers[idx] = route.NewRouter(n.m, blocked)
 		}
 	})
 	return n.routers[idx], nil
-}
-
-// attachViewCache makes the Network's routers publish and reuse
-// orientation views through vc, stamped with gen. A DynamicNetwork
-// calls it on every Network it materializes, passing its mutation
-// version as gen, before the Network is shared; it must not be called
-// after the first Route.
-func (n *Network) attachViewCache(vc *route.ViewCache, gen uint64) {
-	n.viewCache = vc
-	n.viewGen = gen
 }
 
 // coreStrategy translates the public strategy into the internal one,
@@ -580,10 +612,11 @@ func (n *Network) HasMinimalPathAvoidingBlocks(s, d Coord, fm FaultModel) bool {
 		return false
 	}
 	if fm == Blocks {
-		if n.bs.InBlock(s) || n.bs.InBlock(d) {
+		bs := n.blockSet()
+		if bs.InBlock(s) || bs.InBlock(d) {
 			return false
 		}
-		return wang.HasMinimalPathBlocks(n.bs.Blocks, s, d)
+		return wang.HasMinimalPathBlocks(bs.Blocks, s, d)
 	}
 	md, err := n.modelPair(fm, s, d)
 	if err != nil {

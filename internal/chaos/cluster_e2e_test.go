@@ -419,7 +419,11 @@ func TestClusterClientZeroWrongAnswersAcrossReplicaKill(t *testing.T) {
 	}
 
 	const workers, perWorker = 4, 120
-	var wrong, errored, okAfterKill atomic.Uint64
+	// The kill lands once a quarter of the reads have completed, so
+	// reads run both before and after it however fast the host is.
+	const killAfter = workers * perWorker / 4
+	var wrong, errored, okAfterKill, completed atomic.Uint64
+	killNow := make(chan struct{})
 	killed := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -429,7 +433,13 @@ func TestClusterClientZeroWrongAnswersAcrossReplicaKill(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				qi := (w + i) % len(clusterQuerySet)
 				q := clusterQuerySet[qi]
+				if completed.Load() >= killAfter {
+					<-killed // every read past the mark runs against the killed cluster
+				}
 				rr, err := cluster.Route(ctx, "m", meshclient.Query{Src: q[0], Dst: q[1]})
+				if completed.Add(1) == killAfter {
+					close(killNow)
+				}
 				if err != nil {
 					errored.Add(1) // allowed: the kill window is violent
 					continue
@@ -448,7 +458,7 @@ func TestClusterClientZeroWrongAnswersAcrossReplicaKill(t *testing.T) {
 	}
 	// Kill replica 1 mid-run: hard-close its client connections and
 	// its listener.
-	time.Sleep(20 * time.Millisecond)
+	<-killNow
 	r1.http.CloseClientConnections()
 	r1.http.Close()
 	close(killed)

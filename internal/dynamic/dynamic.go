@@ -24,6 +24,10 @@ type Tracker struct {
 	faults []mesh.Coord
 	levels *safety.Grid
 
+	// shared is set while faulty, dead and levels are handed out by
+	// Share; the next mutation copies them before writing.
+	shared bool
+
 	// Statistics of the last AddFault call, exposing how local the
 	// update was.
 	lastCascade int // nodes newly added to the fault region
@@ -57,6 +61,7 @@ func (t *Tracker) AddFault(c mesh.Coord) error {
 	if t.faulty[i] {
 		return fmt.Errorf("dynamic: node %v already faulty", c)
 	}
+	t.unshare()
 	t.faulty[i] = true
 	t.faults = append(t.faults, c)
 
@@ -157,12 +162,26 @@ func (t *Tracker) BlockedGrid() []bool {
 	return g
 }
 
-// FaultGrid returns a copy of the raw faulty-node grid (faults only,
-// without the disable cascade), indexed by mesh.Index.
-func (t *Tracker) FaultGrid() []bool {
-	g := make([]bool, len(t.faulty))
-	copy(g, t.faulty)
-	return g
+// Share returns the current fault grid, fault-region grid and safety
+// levels without copying them. The tracker treats them as immutable
+// from then on: the next mutation copies them before changing anything
+// (copy on write), so what Share returned keeps describing the fault
+// set at the time of the call.
+func (t *Tracker) Share() (faulty, dead []bool, levels *safety.Grid) {
+	t.shared = true
+	return t.faulty, t.dead, t.levels
+}
+
+// unshare gives the tracker private copies of the state Share handed
+// out, before a mutation writes to it.
+func (t *Tracker) unshare() {
+	if !t.shared {
+		return
+	}
+	t.faulty = append([]bool(nil), t.faulty...)
+	t.dead = append([]bool(nil), t.dead...)
+	t.levels = t.levels.Clone()
+	t.shared = false
 }
 
 // Snapshot rebuilds the equivalent from-scratch structures (scenario
@@ -189,6 +208,7 @@ func (t *Tracker) RemoveFault(c mesh.Coord) error {
 	if !t.faulty[i] {
 		return fmt.Errorf("dynamic: node %v is not faulty", c)
 	}
+	t.unshare()
 	t.faulty[i] = false
 	for fi, f := range t.faults {
 		if f == c {

@@ -266,3 +266,45 @@ func TestAddRemoveMatchesBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestShareIsCopyOnWrite pins Share's contract: the grids it hands out
+// keep describing the fault set of the call while the tracker goes on
+// mutating, and the tracker's own state keeps matching a batch build.
+func TestShareIsCopyOnWrite(t *testing.T) {
+	m := mesh.Mesh{Width: 12, Height: 12}
+	tr, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []mesh.Coord{{X: 3, Y: 3}, {X: 4, Y: 4}} {
+		if err := tr.AddFault(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faulty, dead, levels := tr.Share()
+	wantFaulty := append([]bool(nil), faulty...)
+	wantDead := append([]bool(nil), dead...)
+	wantLevels := safety.Compute(m, wantDead)
+
+	if err := tr.AddFault(mesh.Coord{X: 8, Y: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.RemoveFault(mesh.Coord{X: 3, Y: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m.Size(); i++ {
+		c := m.CoordOf(i)
+		if faulty[i] != wantFaulty[i] || dead[i] != wantDead[i] || levels.At(c) != wantLevels.At(c) {
+			t.Fatalf("shared state changed at %v after later mutations", c)
+		}
+	}
+	if !tr.IsFaulty(mesh.Coord{X: 8, Y: 2}) || tr.IsFaulty(mesh.Coord{X: 3, Y: 3}) {
+		t.Fatal("tracker lost its own mutations")
+	}
+	want := safety.Compute(m, tr.BlockedGrid())
+	for i := 0; i < m.Size(); i++ {
+		if c := m.CoordOf(i); tr.Level(c) != want.At(c) {
+			t.Fatalf("tracker level at %v = %v, batch %v", c, tr.Level(c), want.At(c))
+		}
+	}
+}

@@ -109,6 +109,26 @@ func BuildBlocksInto(dst *BlockSet, s *Scenario) *BlockSet {
 	return bs
 }
 
+// BlocksFromGrid builds the block set whose labeling is already known:
+// faulty marks the faulty nodes and dead the faulty-or-disabled ones,
+// both indexed by mesh.Index, as an incremental maintainer of
+// Definition 1 (dynamic.Tracker) holds them. Only the block rectangles
+// are collected; the grids are read, not retained.
+func BlocksFromGrid(m mesh.Mesh, faulty, dead []bool) *BlockSet {
+	bs := &BlockSet{M: m, status: make([]Status, m.Size()), blockIdx: make([]int32, m.Size())}
+	for i, d := range dead {
+		bs.blockIdx[i] = -1
+		switch {
+		case faulty[i]:
+			bs.status[i] = Faulty
+		case d:
+			bs.status[i] = Disabled
+		}
+	}
+	bs.collectBlocks()
+	return bs
+}
+
 // shouldDisable implements the premise of Definition 1: two or more
 // disabled-or-faulty neighbors in different dimensions. Neighbors
 // outside the mesh do not count.

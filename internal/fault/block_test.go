@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +267,22 @@ func TestBlocksAreRectangularProperty(t *testing.T) {
 			}
 			if bs.BlockAt(f) < 0 {
 				t.Fatalf("trial %d: fault %v not inside any block", trial, f)
+			}
+		}
+		// Collecting the blocks from the labeled grids, as an
+		// incremental maintainer holds them, gives the same block set.
+		faulty := make([]bool, m.Size())
+		for _, f := range faults {
+			faulty[m.Index(f)] = true
+		}
+		fromGrid := BlocksFromGrid(m, faulty, bs.BlockedGrid())
+		if !slices.Equal(fromGrid.Blocks, bs.Blocks) {
+			t.Fatalf("trial %d: BlocksFromGrid blocks %v, BuildBlocks %v", trial, fromGrid.Blocks, bs.Blocks)
+		}
+		for i := 0; i < m.Size(); i++ {
+			c := m.CoordOf(i)
+			if fromGrid.Status(c) != bs.Status(c) || fromGrid.BlockAt(c) != bs.BlockAt(c) {
+				t.Fatalf("trial %d: BlocksFromGrid labels %v differently", trial, c)
 			}
 		}
 	}

@@ -34,6 +34,14 @@ func NewScenario(m mesh.Mesh, faults []mesh.Coord) (*Scenario, error) {
 	return s, nil
 }
 
+// ScenarioFromGrid returns the scenario of a fault set that is already
+// validated: faults lists the faulty nodes and faulty marks them,
+// indexed by mesh.Index. Both are retained, not copied, and must not be
+// mutated afterwards.
+func ScenarioFromGrid(m mesh.Mesh, faults []mesh.Coord, faulty []bool) *Scenario {
+	return &Scenario{M: m, Faults: faults, faulty: faulty}
+}
+
 // Reset replaces the scenario's fault set in place, reusing the faulty
 // grid and fault-list backing so that one scenario can serve many fault
 // configurations over the same mesh without reallocating. It performs
